@@ -231,6 +231,42 @@ def _cluster_run(args) -> int:
     return 0
 
 
+#: Flags that only a ``--cluster`` run reads, and flags it never reads.
+_CLUSTER_ONLY = ("--shards", "--users", "--cluster-ms", "--topology",
+                 "--fat-tree-k", "--flowlet-gap-us")
+_SINGLE_HOST_ONLY = ("--trace", "--metrics", "--metrics-json", "--folded",
+                     "--speedscope", "--seeds", "--bg", "--irq-moderation")
+
+
+def _parse(parser: argparse.ArgumentParser, argv):
+    """Parse *argv*; reject flags the selected run would ignore."""
+    unset = object()
+    dests = {flag: flag[2:].replace("-", "_")
+             for flag in _CLUSTER_ONLY + _SINGLE_HOST_ONLY}
+    # Pre-seeding a destination stops argparse from filling in its
+    # default, so anything not ``unset`` afterwards was on the command
+    # line — even when it equals the default.
+    args = parser.parse_args(
+        argv, namespace=argparse.Namespace(**{d: unset for d in dests.values()}))
+    given = []
+    for flag, dest in dests.items():
+        if getattr(args, dest) is unset:
+            setattr(args, dest, parser.get_default(dest))
+        else:
+            given.append(flag)
+    if args.cluster:
+        ignored = [f for f in given if f in _SINGLE_HOST_ONLY]
+        if args.figure:
+            ignored.insert(0, f"figure {args.figure!r}")
+        if ignored:
+            parser.error(f"not used by --cluster runs: {', '.join(ignored)}")
+    else:
+        ignored = [f for f in given if f in _CLUSTER_ONLY]
+        if ignored:
+            parser.error(f"only used by --cluster runs: {', '.join(ignored)}")
+    return args
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -339,7 +375,7 @@ def main(argv=None) -> int:
                         "enable loss recovery; SPEC is ';'-separated clauses "
                         "like 'burst@80ms x2; loss:eth:0.01; flap@50ms+2ms; "
                         "retries=5; timeout=5ms' (see FaultPlan.parse)")
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
 
     if args.faults:
         from repro.faults import FaultPlan

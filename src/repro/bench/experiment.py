@@ -595,7 +595,7 @@ class TelemetryOptions:
     """Knobs for an instrumented experiment run."""
 
     #: Also attach the simulated-time sampling profiler (subscribes to
-    #: the span tracepoints, so the kernel takes its traced fast lanes —
+    #: the span tracepoints, so the poll loops emit per-skb spans —
     #: measurements are pinned identical either way).
     profile: bool = True
     #: Simulated-time period between profiler stack samples

@@ -57,16 +57,11 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.fabric.ecmp import FlowletTable
 from repro.fabric.spec import TopologySpec
-from repro.overlay.wirefmt import (
-    CLS_NAMES,
-    KIND_NAMES,
-    WireBatch,
-    WirePacket,
-)
+from repro.overlay.wirefmt import CLS_NAMES, KIND_NAMES, WireBatch
 
 __all__ = ["FabricNetwork", "equal_cost_paths", "min_path_latency_ns"]
 
@@ -250,14 +245,6 @@ class FabricNetwork:
             paths = equal_cost_paths(self.spec, names[src], names[dst])
             self._routes[pair] = paths
         return paths
-
-    def transit(self, packets: Iterable[WirePacket]) -> List[WirePacket]:
-        """Object-level compatibility wrapper over :meth:`transit_batch`.
-
-        Routes one barrier's departures and returns packets with true
-        arrivals, sorted by :func:`~repro.overlay.wirefmt.wire_sort_key`.
-        """
-        return self.transit_batch(WireBatch.from_packets(packets)).packets()
 
     def transit_batch(self, batch: WireBatch) -> WireBatch:
         """Route one barrier's departures, columnar end to end.

@@ -19,7 +19,7 @@ so the same code serves both kernels faithfully.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Generator, Optional, TYPE_CHECKING
+from typing import Callable, Deque, Generator, Optional, Tuple, TYPE_CHECKING
 
 from repro.netdev.queues import PacketQueue
 from repro.packet.skb import SKBuff
@@ -117,37 +117,20 @@ class NapiStruct:
 
         Chooses the high queue if non-empty at entry, else the low queue,
         and processes up to *batch_size* skbs exclusively from it.
+        Tracepoint gates are read once per batch: untraced, each skb is
+        dispatched straight to its stage.
         """
         self.polls += 1
-        tracer = self.kernel.tracer
-        if not tracer.active:
-            # Untraced fast lane: one gate check per *batch*.  No wait
-            # marks were stamped at enqueue, no spans or stage_done fire,
-            # so the whole per-skb tracepoint ceremony is skipped — the
-            # yield sequence (and therefore the schedule) is identical.
-            yield self.kernel.costs.device_poll_overhead_ns
-            queue = self.queue_high if self.queue_high else self.queue_low
-            fixed_stage = self.stage
-            softnet = self.softnet
-            ledger = self.kernel.ledger
-            processed = 0
-            while processed < batch_size and queue:
-                skb = queue.dequeue()
-                if ledger is not None:
-                    ledger.enter(skb.gro_segments)
-                stage = (fixed_stage if fixed_stage is not None
-                         else self._stage_for(skb))
-                yield from stage.process(skb, softnet)
-                processed += 1
-            self.packets_processed += processed
-            telemetry = self.kernel.telemetry
-            if telemetry is not None:
-                telemetry.on_poll(self.name, processed)
-            return processed
-        trace_waits = tracer.has_subscribers(TracePoint.QUEUE_WAIT)
-        yield self.kernel.costs.device_poll_overhead_ns
+        kernel = self.kernel
+        tracer = kernel.tracer
+        active = tracer.active
+        trace_waits = active and tracer.has_subscribers(TracePoint.QUEUE_WAIT)
+        probes = self._stage_probes() if active else None
+        fixed_stage = self.stage
+        softnet = self.softnet
+        ledger = kernel.ledger
+        yield kernel.costs.device_poll_overhead_ns
         queue = self.queue_high if self.queue_high else self.queue_low
-        ledger = self.kernel.ledger
         processed = 0
         while processed < batch_size and queue:
             skb = queue.dequeue()
@@ -158,10 +141,15 @@ class NapiStruct:
                 if since is not None:
                     tracer.emit(TracePoint.QUEUE_WAIT, queue=queue.name,
                                 skb=skb, since=since)
-            yield from self._process_skb(skb)
+            stage = (fixed_stage if fixed_stage is not None
+                     else self._stage_for(skb))
+            if probes is None:
+                yield from stage.process(skb, softnet)
+            else:
+                yield from self._traced_stage(stage, skb, probes)
             processed += 1
         self.packets_processed += processed
-        telemetry = self.kernel.telemetry
+        telemetry = kernel.telemetry
         if telemetry is not None:
             telemetry.on_poll(self.name, processed)
         return processed
@@ -173,34 +161,54 @@ class NapiStruct:
         the stage still executes in this device's context (same cost).
         """
         tracer = self.kernel.tracer
-        if not tracer.active:
-            yield from self._stage_for(skb).process(skb, self.softnet)
-            self.packets_processed += 1
-            return
-        if tracer.has_subscribers(TracePoint.SYNC_INLINE):
-            tracer.emit(TracePoint.SYNC_INLINE, device=self.name, skb=skb)
-        yield from self._process_skb(skb)
+        probes = None
+        if tracer.active:
+            if tracer.has_subscribers(TracePoint.SYNC_INLINE):
+                tracer.emit(TracePoint.SYNC_INLINE, device=self.name, skb=skb)
+            probes = self._stage_probes()
+        stage = self._stage_for(skb)
+        if probes is None:
+            yield from stage.process(skb, self.softnet)
+        else:
+            yield from self._traced_stage(stage, skb, probes)
         self.packets_processed += 1
 
-    def _process_skb(self, skb: SKBuff) -> Generator[int, None, None]:
-        stage = self._stage_for(skb)
+    def _stage_probes(self) -> Optional[Tuple[Optional[str], bool]]:
+        """Gates of the per-skb stage tracepoints, or None if all closed.
+
+        Returns ``(span track or None, stage_done subscribed)``.  Callers
+        check ``tracer.active`` first and read this once per batch:
+        observers attach before a run and detach after it, so a batch
+        sees the subscribers a per-skb check would.
+        """
         tracer = self.kernel.tracer
+        track = None
         if tracer.has_subscribers(TracePoint.SPAN_BEGIN):
-            # Per-skb stage span on the servicing CPU's track.  Inline
-            # (PRISM-sync) stage chains nest naturally: the inner stage's
-            # span opens and closes inside the outer one.
             softnet = self.softnet
             track = (f"cpu{softnet.cpu.core_id}" if softnet is not None
                      else self.name)
+        stage_done = tracer.has_subscribers(TracePoint.STAGE_DONE)
+        if track is None and not stage_done:
+            return None
+        return track, stage_done
+
+    def _traced_stage(self, stage: "PacketStage", skb: SKBuff,
+                      probes: Tuple[Optional[str], bool]
+                      ) -> Generator[int, None, None]:
+        """Run *stage* for *skb* wrapped in its span and STAGE_DONE."""
+        track, stage_done = probes
+        tracer = self.kernel.tracer
+        if track is not None:
+            # Per-skb stage span on the servicing CPU's track.  Inline
+            # (PRISM-sync) stage chains nest naturally: the inner stage's
+            # span opens and closes inside the outer one.
             tracer.emit(TracePoint.SPAN_BEGIN, track=track,
-                        name=f"skb:{stage.name}",
-                        hp=skb.is_high_priority)
-            yield from stage.process(skb, self.softnet)
+                        name=f"skb:{stage.name}", hp=skb.is_high_priority)
+        yield from stage.process(skb, self.softnet)
+        if track is not None:
             tracer.emit(TracePoint.SPAN_END, track=track,
                         name=f"skb:{stage.name}")
-        else:
-            yield from stage.process(skb, self.softnet)
-        if tracer.has_subscribers(TracePoint.STAGE_DONE):
+        if stage_done:
             tracer.emit(TracePoint.STAGE_DONE, device=self.name, skb=skb,
                         stage=stage.name)
 

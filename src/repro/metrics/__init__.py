@@ -1,35 +1,27 @@
-"""Measurement utilities: statistics, histograms, CDFs, recorders.
+"""Measurement utilities: statistics, CDFs, recorders.
 
 - :mod:`~repro.metrics.stats` — latency summaries (min/avg/percentiles);
-- :mod:`~repro.metrics.histogram` — a log-bucketed latency histogram
-  (HdrHistogram-style) supporting merge and percentile queries;
 - :mod:`~repro.metrics.cdf` — empirical CDFs and ASCII rendering for the
   paper's distribution figures;
 - :mod:`~repro.metrics.recorder` — latency/throughput/CPU-utilization
-  recorders used by the workloads and the bench harness;
-- :mod:`~repro.metrics.timeseries` — windowed time series for
-  time-resolved views (rates and latency percentiles over time).
+  recorders used by the workloads and the bench harness.  Latency
+  samples are kept exactly, so summaries and CDFs are bit-exact.
 """
 
 from repro.metrics.cdf import Cdf
-from repro.metrics.histogram import LogHistogram
 from repro.metrics.recorder import (
     CpuUtilizationSampler,
     LatencyRecorder,
     ThroughputMeter,
 )
 from repro.metrics.stats import LatencySummary, percentile, summarize_ns
-from repro.metrics.timeseries import WindowedSeries, WindowStats
 
 __all__ = [
     "Cdf",
     "CpuUtilizationSampler",
     "LatencyRecorder",
     "LatencySummary",
-    "LogHistogram",
     "ThroughputMeter",
-    "WindowStats",
-    "WindowedSeries",
     "percentile",
     "summarize_ns",
 ]

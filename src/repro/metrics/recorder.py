@@ -8,7 +8,6 @@ from typing import Callable, Dict, Optional, Sequence
 from repro.kernel.cpu import CpuContext, CpuCore, CpuStats
 from repro.metrics.cdf import Cdf
 from repro.metrics.stats import LatencySummary, summarize_ns
-from repro.metrics.streaming import ReservoirSample, StreamingQuantiles
 
 __all__ = ["LatencyRecorder", "ThroughputMeter", "CpuUtilizationSampler"]
 
@@ -16,61 +15,37 @@ __all__ = ["LatencyRecorder", "ThroughputMeter", "CpuUtilizationSampler"]
 class LatencyRecorder:
     """Collects latency samples (ns) with optional warm-up gating.
 
-    Two storage backends:
-
-    - **exact** (default) — every sample kept in a compact ``array('q')``
-      (8 bytes/sample instead of a pointer to a boxed int); summaries
-      and CDFs are computed exactly.  This is what the bench harness
-      uses — experiment results stay bit-exact.
-    - **streaming** (``streaming=True``) — O(1) memory: P² quantile
-      markers feed :meth:`summary` and a seeded reservoir of
-      ``reservoir_k`` samples feeds :meth:`cdf`.  ``samples_ns`` stays
-      empty; use this for unbounded interactive sweeps.
+    Every sample is kept in a compact ``array('q')`` (8 bytes/sample
+    instead of a pointer to a boxed int), so summaries and CDFs are
+    exact — experiment results stay bit-exact.
     """
 
-    def __init__(self, name: str = "", warmup_until_ns: int = 0, *,
-                 streaming: bool = False, reservoir_k: int = 4096,
-                 seed: int = 0) -> None:
+    def __init__(self, name: str = "", warmup_until_ns: int = 0) -> None:
         self.name = name
         #: Samples recorded at virtual times before this are discarded.
         self.warmup_until_ns = warmup_until_ns
-        self.streaming = streaming
         self.samples_ns: Sequence[int] = array("q")
         self.discarded = 0
         self.count = 0
-        self._quantiles: Optional[StreamingQuantiles] = None
-        self._reservoir: Optional[ReservoirSample] = None
-        if streaming:
-            self._quantiles = StreamingQuantiles()
-            self._reservoir = ReservoirSample(reservoir_k, seed=seed)
 
     def record(self, latency_ns: int, at_ns: Optional[int] = None) -> None:
         if at_ns is not None and at_ns < self.warmup_until_ns:
             self.discarded += 1
             return
         self.count += 1
-        if self._quantiles is not None:
-            self._quantiles.add(latency_ns)
-            self._reservoir.add(latency_ns)
-            return
         self.samples_ns.append(latency_ns)
 
     def summary(self) -> Optional[LatencySummary]:
-        if self._quantiles is not None:
-            return self._quantiles.summary()
         return summarize_ns(self.samples_ns)
 
     def cdf(self) -> Cdf:
-        if self._reservoir is not None:
-            return Cdf(self._reservoir.samples)
         return Cdf(self.samples_ns)
 
     def __len__(self) -> int:
         return self.count
 
     def __repr__(self) -> str:
-        mode = "streaming" if self.streaming else "exact"
-        return f"<LatencyRecorder {self.name!r} n={self.count} {mode}>"
+        return f"<LatencyRecorder {self.name!r} n={self.count}>"
 
 
 class ThroughputMeter:

@@ -152,67 +152,35 @@ class NicNapi(NapiStruct):
         return self.has_high() or self.has_low()
 
     def poll(self, batch_size: int) -> Generator[int, None, int]:
-        """Driver poll: dequeue descriptors, allocate + classify skbs."""
+        """Driver poll: dequeue descriptors, allocate + classify skbs.
+
+        Tracepoint gates are read once per batch, so an untraced poll
+        consults no tracer state per skb and dispatches the driver stage
+        directly.
+        """
         self.polls += 1
         kernel = self.kernel
         tracer = kernel.tracer
-        if not tracer.active:
-            # Untraced fast lane: skbs come from the kernel's free-list
-            # pool, no tracepoint gates are consulted per skb, and the
-            # driver stage is dispatched directly.  The yield sequence
-            # (and so the schedule) is identical to the traced path.
-            pool = kernel.skb_pool
-            classify = kernel.classifier.classify
-            mode = kernel.mode
-            stage = self.stage
-            softnet = self.softnet
-            sim = kernel.sim
-            faults = kernel.faults
-            ledger = kernel.ledger
-            yield kernel.costs.device_poll_overhead_ns
-            ring = (self.nic.ring_high
-                    if self.nic.ring_high is not None and self.nic.ring_high
-                    else self.nic.ring)
-            processed = 0
-            while processed < batch_size and ring:
-                arrival, packet = ring.dequeue()
-                if faults is not None and faults.skb_alloc_fails():
-                    # alloc_skb returned NULL: the descriptor is consumed
-                    # and the packet is gone.
-                    kernel.count_drop("fault:skb-alloc", packet)
-                    if ledger is not None:
-                        ledger.drop("fault:skb-alloc")
-                    processed += 1
-                    continue
-                if ledger is not None:
-                    ledger.enter(1)
-                now = sim.now
-                skb = pool.alloc(packet, dev=self.nic, alloc_time=now)
-                marks = skb.marks
-                marks["rx_ring"] = arrival
-                marks["skb_alloc"] = now
-                lookup_cost = classify(skb, mode)
-                if lookup_cost:
-                    yield lookup_cost
-                yield from stage.process(skb, softnet)
-                processed += 1
-            self.packets_processed += processed
-            telemetry = kernel.telemetry
-            if telemetry is not None:
-                telemetry.on_poll(self.name, processed)
-            return processed
-        trace_allocs = tracer.has_subscribers(TracePoint.SKB_ALLOC)
-        trace_waits = tracer.has_subscribers(TracePoint.QUEUE_WAIT)
-        yield kernel.costs.device_poll_overhead_ns
-        ring = (self.nic.ring_high
-                if self.nic.ring_high is not None and self.nic.ring_high
-                else self.nic.ring)
+        active = tracer.active
+        trace_waits = active and tracer.has_subscribers(TracePoint.QUEUE_WAIT)
+        trace_allocs = active and tracer.has_subscribers(TracePoint.SKB_ALLOC)
+        probes = self._stage_probes() if active else None
+        pool = kernel.skb_pool
+        classify = kernel.classifier.classify
+        mode = kernel.mode
+        stage = self.stage
+        softnet = self.softnet
+        sim = kernel.sim
         faults = kernel.faults
         ledger = kernel.ledger
+        yield kernel.costs.device_poll_overhead_ns
+        ring = self.nic.ring_high or self.nic.ring
         processed = 0
         while processed < batch_size and ring:
             arrival, packet = ring.dequeue()
             if faults is not None and faults.skb_alloc_fails():
+                # alloc_skb returned NULL: the descriptor is consumed
+                # and the packet is gone.
                 kernel.count_drop("fault:skb-alloc", packet)
                 tracer.emit(TracePoint.DROP, queue="fault:skb-alloc", skb=None)
                 if ledger is not None:
@@ -221,20 +189,24 @@ class NicNapi(NapiStruct):
                 continue
             if ledger is not None:
                 ledger.enter(1)
-            skb = kernel.skb_pool.alloc(packet, dev=self.nic,
-                                        alloc_time=kernel.sim.now)
-            skb.mark("rx_ring", arrival)
-            skb.mark("skb_alloc", kernel.sim.now)
+            now = sim.now
+            skb = pool.alloc(packet, dev=self.nic, alloc_time=now)
+            marks = skb.marks
+            marks["rx_ring"] = arrival
+            marks["skb_alloc"] = now
             if trace_waits:
                 # Ring residency: DMA arrival to driver-poll dequeue.
                 tracer.emit(TracePoint.QUEUE_WAIT, queue=ring.name,
                             skb=skb, since=arrival)
-            lookup_cost = kernel.classifier.classify(skb, kernel.mode)
+            lookup_cost = classify(skb, mode)
             if lookup_cost:
                 yield lookup_cost
             if trace_allocs:
                 tracer.emit(TracePoint.SKB_ALLOC, device=self.name, skb=skb)
-            yield from self._process_skb(skb)
+            if probes is None:
+                yield from stage.process(skb, softnet)
+            else:
+                yield from self._traced_stage(stage, skb, probes)
             processed += 1
         self.packets_processed += processed
         telemetry = kernel.telemetry

@@ -27,8 +27,6 @@ from repro.overlay.wirefmt import (
     WireBatch,
     WirePacket,
     decode_batch,
-    from_wire,
-    to_wire,
     wire_sort_key,
 )
 
@@ -45,8 +43,6 @@ __all__ = [
     "WireBatch",
     "WirePacket",
     "decode_batch",
-    "from_wire",
     "register_remote_container",
-    "to_wire",
     "wire_sort_key",
 ]

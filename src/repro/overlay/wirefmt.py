@@ -49,8 +49,6 @@ __all__ = [
     "EMPTY_FRAME",
     "decode_batch",
     "wire_sort_key",
-    "to_wire",
-    "from_wire",
 ]
 
 #: Bump when the frame layout changes; workers refuse mismatched frames.
@@ -283,30 +281,3 @@ def decode_batch(frame: tuple) -> WireBatch:
 #: workers compare against / reuse it so empty windows skip encoding,
 #: decoding, and sorting entirely.
 EMPTY_FRAME = WireBatch().encode()
-
-
-def to_wire(wp: WirePacket) -> tuple:
-    """Flatten one packet to a plain versioned tuple.
-
-    Retained for tests and tooling; bulk traffic travels as
-    :class:`WireBatch` frames (one per window), never per-packet tuples.
-    """
-    return (WIRE_VERSION, wp.src_host, wp.dst_host, wp.cls, wp.kind,
-            wp.seq, wp.departure_ns, wp.arrival_ns, wp.payload_len,
-            wp.sent_at)
-
-
-def from_wire(frame: tuple) -> WirePacket:
-    """Inverse of :func:`to_wire`; checks the version tag."""
-    if not frame or frame[0] != WIRE_VERSION:
-        raise ValueError(
-            f"bad wire frame version: {frame[:1]!r} "
-            f"(this executor speaks wire format v{WIRE_VERSION})")
-    (_v, src_host, dst_host, cls, kind, seq, departure_ns, arrival_ns,
-     payload_len, sent_at) = frame
-    wp = WirePacket(src_host=src_host, dst_host=dst_host, cls=cls,
-                    kind=kind, seq=seq, departure_ns=departure_ns,
-                    arrival_ns=arrival_ns, payload_len=payload_len,
-                    sent_at=sent_at)
-    wp.validate()
-    return wp

@@ -27,7 +27,6 @@ built it.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import TYPE_CHECKING, Iterable, List, Optional, Union
 
 from repro.bench.experiment import (
@@ -91,24 +90,9 @@ class Scenario:
 
     __slots__ = ("_config",)
 
-    def __init__(self, mode: Union[StackMode, str] = StackMode.VANILLA,
-                 *args: str, network: Optional[str] = None, seed: int = 1,
+    def __init__(self, mode: Union[StackMode, str] = StackMode.VANILLA, *,
+                 network: Optional[str] = None, seed: int = 1,
                  config: Optional[ExperimentConfig] = None) -> None:
-        if args:
-            # Positional network is deprecated: topology is a *place*,
-            # not a string — build through Scenario.on(Topology.…) or
-            # pass network= by keyword (the documented thin adapter).
-            if len(args) > 1:
-                raise TypeError(f"Scenario() takes at most 2 positional "
-                                f"arguments ({1 + len(args) + 1} given)")
-            if network is not None:
-                raise TypeError("Scenario() got network both positionally "
-                                "and by keyword")
-            warnings.warn(
-                "passing network positionally is deprecated; use "
-                "Scenario.on(Topology.two_host(network=...)) or the "
-                "network= keyword", DeprecationWarning, stacklevel=2)
-            network = args[0]
         if config is not None:
             self._config = config
             return

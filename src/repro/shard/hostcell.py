@@ -40,8 +40,7 @@ from repro.bench.testbed import build_testbed
 from repro.faults import FaultInjector
 from repro.flows import FlowCollector, KernelFlowTap
 from repro.metrics.recorder import CpuUtilizationSampler, LatencyRecorder
-from repro.overlay.wirefmt import (CLS_CODE, CLS_NAMES, KIND_CODE,
-                                   WireBatch, WirePacket)
+from repro.overlay.wirefmt import CLS_CODE, CLS_NAMES, KIND_CODE, WireBatch
 from repro.shard.cluster import CROSS_HEADER_BYTES, ClusterConfig
 from repro.sim.rng import SeededRng
 
@@ -168,7 +167,7 @@ class HostCell:
 
         # --- cross-boundary accounting (exact) ------------------------
         self.n_outbox = 0      #: packets appended to the outbox, ever
-        self.n_delivered = 0   #: packets handed to deliver()
+        self.n_delivered = 0   #: packets handed to deliver_rows()
         self.n_injected = 0    #: delivered packets whose arrival fired
 
         packet_core = self.testbed.server.kernel.cpu(0)
@@ -268,11 +267,6 @@ class HostCell:
             schedule_at(t, inject, src[i], cls[i], kind[i], seq[i],
                         payload_len[i], sent_at[i])
         self.n_delivered += len(rows)
-
-    def deliver(self, packets: List[WirePacket]) -> None:
-        """Object-level form of :meth:`deliver_rows` (tests/tooling)."""
-        batch = WireBatch.from_packets(packets)
-        self.deliver_rows(batch, list(range(len(batch))))
 
     def _inject_row(self, src: int, cls_code: int, kind_code: int,
                     seq: int, payload_len: int, sent_at: int) -> None:

@@ -50,9 +50,9 @@ class Tracer:
     def __init__(self) -> None:
         self._subscribers: Dict[str, List[Callable[..., None]]] = {}
         #: True iff *any* tracepoint has a subscriber.  Hot loops read
-        #: this single attribute to pick the untraced fast path instead
-        #: of doing one ``has_subscribers`` dict lookup per point per
-        #: packet; it is maintained by attach/detach only.
+        #: this single attribute once per batch and skip their
+        #: ``has_subscribers`` lookups when it is False; it is
+        #: maintained by attach/detach only.
         self.active: bool = False
 
     def attach(self, point: str, callback: Callable[..., None]) -> Callable[..., None]:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.fabric import FabricNetwork, Topology, ecmp_index
 from repro.fabric.ecmp import FlowletTable
-from repro.overlay.wirefmt import WirePacket
+from repro.overlay.wirefmt import WireBatch, WirePacket
 from repro.shard.cluster import ClusterConfig, cluster_digest
 from repro.shard.executor import run_cluster
 from repro.shard.worker import partition_hosts
@@ -25,6 +25,11 @@ def wp(seq, *, src=0, dst=7, departure_ns=0, cls="hi"):
                       seq=seq, departure_ns=departure_ns,
                       arrival_ns=departure_ns + 50_000, payload_len=64,
                       sent_at=departure_ns)
+
+
+def transit(net, packets):
+    """Route *packets* through the columnar fabric transit."""
+    return net.transit_batch(WireBatch.from_packets(packets)).packets()
 
 
 class TestEcmpHash:
@@ -74,13 +79,13 @@ class TestFabricNetwork:
         outs = []
         for _ in range(2):
             net = FabricNetwork(FAT8, seed=3)
-            outs.append((net.transit(list(packets)), net.stats()))
+            outs.append((transit(net, packets), net.stats()))
         assert outs[0] == outs[1]
 
     def test_arrivals_respect_the_lookahead(self):
         net = FabricNetwork(FAT8, seed=0)
-        for out in net.transit([wp(i, departure_ns=i * 500)
-                                for i in range(20)]):
+        for out in transit(net, [wp(i, departure_ns=i * 500)
+                                 for i in range(20)]):
             assert out.arrival_ns >= out.departure_ns + net.lookahead_ns
 
     def test_bursty_flow_spreads_over_paths(self):
@@ -94,7 +99,7 @@ class TestFabricNetwork:
             for i in range(3):
                 packets.append(wp(0, departure_ns=t + i * 1_000))
             t += 400_000  # idle gap >> flowlet_gap_ns (100 us)
-        net.transit(packets)
+        transit(net, packets)
         stats = net.stats()
         assert stats["flowlet_rehashes"] == 11
         (paths,) = stats["flow_paths"].values()

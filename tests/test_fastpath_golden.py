@@ -1,7 +1,7 @@
 """Golden digest tests for the packet-path fast lane.
 
 The fast-path machinery (skb pooling, memoized costs, cached header
-building, untraced fast lanes) is a pure optimization: it must never
+building, per-batch tracepoint gates) is a pure optimization: it must never
 change a single byte of an :class:`ExperimentResult`.  These tests pin
 that contract three ways:
 
@@ -23,6 +23,8 @@ that contract three ways:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.bench.experiment import (
@@ -32,6 +34,7 @@ from repro.bench.experiment import (
     run_traced_experiment,
 )
 from repro.bench.runner import result_digest
+from repro.faults.plan import FaultPlan
 from repro.prism.mode import StackMode
 from repro.sim.units import MS
 
@@ -94,9 +97,27 @@ def test_pool_disabled_run_is_identical(scenario):
     assert result_digest(result) == untraced
 
 
-def test_traced_measurements_match_untraced():
-    """Tracing only observes: measurements identical, breakdown added."""
-    config, untraced, _ = GOLD["overlay-vanilla"]
+#: Loss on the driver ring, failed skb allocations and retries: the
+#: fault branches of the NIC poll run in both tracer states.
+FAULTS = "skbfail:0.02; loss:eth:0.03; retries=5; timeout=2ms"
+
+
+@pytest.mark.parametrize("faults", [None, FAULTS],
+                         ids=["no-faults", "faults"])
+@pytest.mark.parametrize("mode", [StackMode.VANILLA, StackMode.PRISM_BATCH,
+                                  StackMode.PRISM_SYNC, StackMode.BYPASS],
+                         ids=str)
+def test_traced_measurements_match_untraced(mode, faults):
+    """Tracing only observes: measurements identical, breakdown added.
+
+    Each poll loop reads its tracepoint gates once per batch; this runs
+    every mode (bypass drives the NIC poll from its PMD) through both
+    the traced and the untraced branch and compares the results.
+    """
+    config = _config(mode, "overlay")
+    if faults is not None:
+        config = dataclasses.replace(config, faults=FaultPlan.parse(faults))
+    untraced = result_digest(run_experiment(config))
     traced = run_traced_experiment(config).result
     traced.stage_breakdown = None
     assert result_digest(traced) == untraced

@@ -36,3 +36,38 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ok" in out
         assert "Fig. 6a" in out or "Vanilla" in out
+
+
+class TestFlagScope:
+    """A flag the selected run would not read is an error, not a no-op."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--trace", "out.json"],
+        ["--metrics", "out.prom"],
+        ["--metrics-json", "out.json"],
+        ["--folded", "out.folded"],
+        ["--speedscope", "out.json"],
+        ["--seeds", "1,2"],
+        ["--bg", "100000"],
+        ["--irq-moderation", "adaptive"],
+        ["fig6"],
+    ], ids=lambda argv: argv[0])
+    def test_single_host_flag_rejected_with_cluster(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["--cluster", "2"] + argv)
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--shards", "2"],
+        ["--users", "100"],
+        ["--cluster-ms", "2"],
+        ["--topology", "fat-tree"],
+        ["--fat-tree-k", "4"],
+        ["--flowlet-gap-us", "50"],
+    ], ids=lambda argv: argv[0])
+    def test_cluster_flag_rejected_without_cluster(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err

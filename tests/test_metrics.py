@@ -1,6 +1,4 @@
-"""Tests for statistics, histograms, CDFs, and recorders."""
-
-import math
+"""Tests for statistics, CDFs, and recorders."""
 
 import pytest
 from hypothesis import given
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 from repro.kernel.costs import CostModel
 from repro.kernel.cpu import CpuCore, Work
 from repro.metrics.cdf import Cdf
-from repro.metrics.histogram import LogHistogram
 from repro.metrics.recorder import (
     CpuUtilizationSampler,
     LatencyRecorder,
@@ -54,92 +51,6 @@ class TestStats:
 
     def test_str_render(self):
         assert "p99" in str(summarize_ns([1000]))
-
-
-class TestLogHistogram:
-    def test_basic_recording(self):
-        hist = LogHistogram()
-        hist.record_many([100, 200, 300])
-        assert len(hist) == 3
-        assert hist.mean == 200
-        assert hist.min_value == 100
-        assert hist.max_value == 300
-
-    def test_empty_raises(self):
-        hist = LogHistogram()
-        with pytest.raises(ValueError):
-            hist.mean
-        with pytest.raises(ValueError):
-            hist.percentile(50)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            LogHistogram(buckets_per_decade=0)
-        hist = LogHistogram()
-        with pytest.raises(ValueError):
-            hist.record(10, count=0)
-        hist.record(10)
-        with pytest.raises(ValueError):
-            hist.percentile(-1)
-
-    def test_percentile_bounded_relative_error(self):
-        hist = LogHistogram(buckets_per_decade=36)
-        samples = [1_000 + 37 * i for i in range(1_000)]
-        hist.record_many(samples)
-        exact = percentile(samples, 99)
-        approx = hist.percentile(99)
-        assert abs(approx - exact) / exact < 0.10
-
-    def test_merge(self):
-        a = LogHistogram()
-        b = LogHistogram()
-        a.record_many([100, 200])
-        b.record_many([300, 400])
-        a.merge(b)
-        assert len(a) == 4
-        assert a.max_value == 400
-
-    def test_merge_resolution_mismatch(self):
-        a = LogHistogram(buckets_per_decade=36)
-        b = LogHistogram(buckets_per_decade=10)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_zero_and_negative_values_bucketed(self):
-        hist = LogHistogram()
-        hist.record(0)
-        hist.record(100)
-        assert len(hist) == 2
-        assert hist.percentile(1) == 0.0
-
-    def test_buckets_sorted(self):
-        hist = LogHistogram()
-        hist.record_many([5_000, 50, 500])
-        midpoints = [mid for mid, _count in hist.buckets()]
-        assert midpoints == sorted(midpoints)
-
-    @given(st.lists(st.floats(min_value=1, max_value=1e9,
-                              allow_nan=False), min_size=1, max_size=100))
-    def test_percentile_within_min_max(self, values):
-        hist = LogHistogram()
-        hist.record_many(values)
-        for pct in (0, 50, 99, 100):
-            result = hist.percentile(pct)
-            assert hist.min_value <= result <= hist.max_value
-
-    @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=50),
-           st.lists(st.integers(1, 10**6), min_size=1, max_size=50))
-    def test_merge_equals_combined(self, first, second):
-        merged = LogHistogram()
-        merged.record_many(first)
-        other = LogHistogram()
-        other.record_many(second)
-        merged.merge(other)
-        combined = LogHistogram()
-        combined.record_many(first + second)
-        assert len(merged) == len(combined)
-        assert merged.percentile(50) == combined.percentile(50)
-        assert math.isclose(merged.total, combined.total)
 
 
 class TestCdf:
@@ -212,6 +123,22 @@ class TestRecorders:
     def test_throughput_meter_zero_window(self):
         meter = ThroughputMeter()
         assert meter.rate_per_sec(100, 100) == 0.0
+
+    def test_throughput_meter_counts_warmup_discards(self):
+        meter = ThroughputMeter(warmup_until_ns=1_000)
+        meter.record(500, nbytes=100)
+        meter.record(1_500, nbytes=200)
+        assert meter.count == 1
+        assert meter.bytes == 200
+        assert meter.discarded == 1
+
+    def test_throughput_meter_summary_exposes_discarded(self):
+        meter = ThroughputMeter(warmup_until_ns=10)
+        meter.record(5)
+        meter.record(20)
+        summary = meter.summary()
+        assert summary == {"count": 1, "bytes": 0, "discarded": 1,
+                           "first_at": 20, "last_at": 20}
 
     def test_cpu_sampler_window(self):
         sim = Simulator()

@@ -1,7 +1,5 @@
 """Scenario.on / Topology adapters: canonicalization and cache keys."""
 
-import warnings
-
 import pytest
 
 from repro.bench.experiment import ExperimentConfig
@@ -40,25 +38,10 @@ class TestTwoHostAdapter:
             Scenario.on(Topology.two_host(), users=100)
 
 
-class TestPositionalNetworkDeprecation:
-    def test_warns_and_builds_the_same_config(self):
-        with pytest.deprecated_call():
-            old = Scenario("vanilla", "host")
-        assert old.build() == Scenario(network="host").build()
-        assert config_key(old.build()) == config_key(
-            Scenario(network="host").build())
-
-    def test_keyword_form_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            Scenario(network="overlay")
-            Scenario.on(Topology.two_host())
-
-    def test_conflicting_forms_rejected(self):
-        with pytest.raises(TypeError, match="positionally and by keyword"):
-            Scenario("vanilla", "host", network="overlay")
-        with pytest.raises(TypeError, match="positional"):
-            Scenario("vanilla", "host", "extra")
+class TestPositionalNetworkRemoved:
+    def test_positional_network_raises_type_error(self):
+        with pytest.raises(TypeError):
+            Scenario("vanilla", "host")
 
 
 class TestClusterDispatch:
