@@ -231,18 +231,27 @@ def _cluster_run(args) -> int:
     return 0
 
 
-#: Flags that only a ``--cluster`` run reads, and flags it never reads.
+#: Flags that only a ``--cluster`` run reads.
 _CLUSTER_ONLY = ("--shards", "--users", "--cluster-ms", "--topology",
                  "--fat-tree-k", "--flowlet-gap-us")
-_SINGLE_HOST_ONLY = ("--trace", "--metrics", "--metrics-json", "--folded",
-                     "--speedscope", "--seeds", "--bg", "--irq-moderation")
+#: Single-host output flags; each one also starts a run.
+_SINGLE_HOST_RUNS = ("--trace", "--metrics", "--metrics-json", "--folded",
+                     "--speedscope", "--seeds")
+#: Flags a ``--cluster`` run never reads.
+_SINGLE_HOST_ONLY = _SINGLE_HOST_RUNS + ("--bg", "--irq-moderation")
+#: Flags that start a run or a query; ``--metrics-diff`` runs none.
+_RUNS = _SINGLE_HOST_RUNS + ("--faults", "--flows", "--flows-query",
+                             "--cluster")
+#: Flags only ``--metrics-diff`` reads.
+_DIFF_ONLY = ("--diff-threshold", "--diff-match")
 
 
 def _parse(parser: argparse.ArgumentParser, argv):
     """Parse *argv*; reject flags the selected run would ignore."""
     unset = object()
     dests = {flag: flag[2:].replace("-", "_")
-             for flag in _CLUSTER_ONLY + _SINGLE_HOST_ONLY}
+             for flag in _CLUSTER_ONLY + _SINGLE_HOST_ONLY + _DIFF_ONLY
+             + ("--quick",)}
     # Pre-seeding a destination stops argparse from filling in its
     # default, so anything not ``unset`` afterwards was on the command
     # line — even when it equals the default.
@@ -264,6 +273,19 @@ def _parse(parser: argparse.ArgumentParser, argv):
         ignored = [f for f in given if f in _CLUSTER_ONLY]
         if ignored:
             parser.error(f"only used by --cluster runs: {', '.join(ignored)}")
+    if args.metrics_diff:
+        runs = [f for f in _RUNS if getattr(args, f[2:].replace("-", "_"))]
+        if args.figure:
+            runs.insert(0, f"figure {args.figure!r}")
+        if runs:
+            parser.error(f"--metrics-diff runs nothing, so these would be "
+                         f"dropped: {', '.join(runs)}")
+    else:
+        ignored = [f for f in given if f in _DIFF_ONLY]
+        if ignored:
+            parser.error(f"only used by --metrics-diff: {', '.join(ignored)}")
+    if "--quick" in given and not args.figure:
+        parser.error("--quick is only used by figure runs")
     return args
 
 

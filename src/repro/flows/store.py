@@ -20,7 +20,6 @@ schema version raises rather than guessing.
 """
 
 import json
-import sqlite3
 
 __all__ = ["FLOW_DB_SCHEMA", "FlowStore"]
 
@@ -78,6 +77,10 @@ class FlowStore:
     """One SQLite flow database; multiple runs per file."""
 
     def __init__(self, path):
+        # Imported here, not at module load: only a store opened on disk
+        # needs it, and it costs every simulator process ~1 MB.
+        import sqlite3
+
         self.path = str(path)
         self.conn = sqlite3.connect(self.path)
         self.conn.executescript(_DDL)

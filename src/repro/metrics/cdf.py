@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Sequence, Tuple
 
-import numpy as np
+from repro.metrics.stats import quantile_sorted
 
 __all__ = ["Cdf"]
 
@@ -15,30 +16,31 @@ class Cdf:
     def __init__(self, samples: Sequence[float]) -> None:
         if len(samples) == 0:
             raise ValueError("cannot build a CDF from zero samples")
-        self._sorted = np.sort(np.asarray(samples, dtype=np.float64))
+        self._sorted = sorted(map(float, samples))
 
     @property
     def count(self) -> int:
-        return int(self._sorted.size)
+        return len(self._sorted)
 
     def at(self, value: float) -> float:
         """P(X <= value)."""
-        return float(np.searchsorted(self._sorted, value, side="right")
-                     / self._sorted.size)
+        return bisect_right(self._sorted, float(value)) / len(self._sorted)
 
     def quantile(self, q: float) -> float:
         """Inverse CDF, q in [0, 1]."""
         if not 0 <= q <= 1:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        return float(np.quantile(self._sorted, q))
+        return quantile_sorted(self._sorted, q)
 
     def points(self, n: int = 100) -> List[Tuple[float, float]]:
         """(value, cumulative probability) pairs for plotting."""
         if n < 2:
             raise ValueError("need at least 2 points")
-        qs = np.linspace(0, 1, n)
-        values = np.quantile(self._sorted, qs)
-        return [(float(v), float(q)) for v, q in zip(values, qs)]
+        # i * step with an exact endpoint, not i / (n - 1): the two
+        # differ in the last bit for most n.
+        step = 1 / (n - 1)
+        qs = [i * step for i in range(n - 1)] + [1.0]
+        return [(quantile_sorted(self._sorted, q), q) for q in qs]
 
     def render_ascii(self, width: int = 60, height: int = 12,
                      unit_divisor: float = 1_000.0, unit: str = "us") -> str:

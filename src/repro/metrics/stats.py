@@ -2,12 +2,34 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
+__all__ = ["quantile_sorted", "percentile", "LatencySummary", "summarize_ns"]
 
-__all__ = ["percentile", "LatencySummary", "summarize_ns"]
+
+def quantile_sorted(xs: Sequence[float], q: float) -> float:
+    """The *q*-quantile (0-1) of the ascending floats *xs*.
+
+    Linear interpolation between the two closest ranks (Hyndman & Fan
+    type 7, the usual ``"linear"`` default).  The float operations and
+    their order are part of the contract: the pinned result digests
+    were made with them, and ``tests/test_metrics_oracle.py`` checks
+    them bit for bit against a reference implementation.
+    """
+    n = len(xs)
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        return xs[-1]
+    lo = math.floor(virtual)
+    g = virtual - lo
+    below, above = xs[lo], xs[lo + 1]
+    d = above - below
+    # Interpolate from whichever end is nearer.
+    if g >= 0.5:
+        return above - d * (1 - g)
+    return below + d * g
 
 
 def percentile(samples: Sequence[float], pct: float) -> float:
@@ -20,7 +42,7 @@ def percentile(samples: Sequence[float], pct: float) -> float:
         raise ValueError("cannot take a percentile of zero samples")
     if not 0 <= pct <= 100:
         raise ValueError(f"percentile must be in [0, 100], got {pct}")
-    return float(np.percentile(np.asarray(samples, dtype=np.float64), pct))
+    return quantile_sorted(sorted(map(float, samples)), pct / 100)
 
 
 @dataclass(frozen=True)
@@ -71,17 +93,27 @@ class LatencySummary:
 
 
 def summarize_ns(samples: Sequence[float]) -> Optional[LatencySummary]:
-    """Summarize a nanosecond sample set; None when empty."""
+    """Summarize a nanosecond sample set; None when empty.
+
+    ``avg_ns`` is the correctly rounded sum over *n*.  For integer
+    samples whose total stays below 2**53 every partial sum is exact,
+    so any summation order gives this same value.
+    """
     if len(samples) == 0:
         return None
-    array = np.asarray(samples, dtype=np.float64)
+    xs = sorted(map(float, samples))
+
+    def pct(p: float) -> float:
+        # Divide, as percentile() does: 99.9 / 100 is not 0.999.
+        return quantile_sorted(xs, p / 100)
+
     return LatencySummary(
-        count=int(array.size),
-        min_ns=float(array.min()),
-        avg_ns=float(array.mean()),
-        p50_ns=float(np.percentile(array, 50)),
-        p90_ns=float(np.percentile(array, 90)),
-        p99_ns=float(np.percentile(array, 99)),
-        p999_ns=float(np.percentile(array, 99.9)),
-        max_ns=float(array.max()),
+        count=len(xs),
+        min_ns=xs[0],
+        avg_ns=math.fsum(xs) / len(xs),
+        p50_ns=pct(50),
+        p90_ns=pct(90),
+        p99_ns=pct(99),
+        p999_ns=pct(99.9),
+        max_ns=xs[-1],
     )

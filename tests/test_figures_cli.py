@@ -71,3 +71,44 @@ class TestFlagScope:
             main(argv)
         assert exc.value.code == 2
         assert argv[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--diff-threshold", "5"],
+        ["--diff-threshold", "10"],  # the default, still on the line
+        ["--diff-match", "repro_"],
+    ], ids=lambda argv: "-".join(argv))
+    def test_diff_flag_rejected_without_metrics_diff(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--trace", "out.json"],
+        ["--metrics", "out.prom"],
+        ["--metrics-json", "out.json"],
+        ["--folded", "out.folded"],
+        ["--speedscope", "out.json"],
+        ["--seeds", "1,2"],
+        ["--faults", "loss:eth:0.01"],
+        ["--flows", "mem"],
+        ["--flows-query", "classes", "flows.jsonl"],
+        ["--cluster", "2"],
+        ["fig6"],
+    ], ids=lambda argv: argv[0])
+    def test_run_rejected_with_metrics_diff(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["--metrics-diff", "a.json", "b.json"] + argv)
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--trace", "out.json"],
+        ["--metrics-diff", "a.json", "b.json"],
+    ], ids=lambda argv: argv[0] if argv else "alone")
+    def test_quick_rejected_without_figure(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["--quick"] + argv)
+        assert exc.value.code == 2
+        assert "--quick" in capsys.readouterr().err
