@@ -244,6 +244,8 @@ _RUNS = _SINGLE_HOST_RUNS + ("--faults", "--flows", "--flows-query",
                              "--cluster")
 #: Flags only ``--metrics-diff`` reads.
 _DIFF_ONLY = ("--diff-threshold", "--diff-match")
+#: Experiment-pool flags only figure and ``--seeds`` runs read.
+_POOL_ONLY = ("--jobs", "--cache")
 
 
 def _parse(parser: argparse.ArgumentParser, argv):
@@ -251,7 +253,7 @@ def _parse(parser: argparse.ArgumentParser, argv):
     unset = object()
     dests = {flag: flag[2:].replace("-", "_")
              for flag in _CLUSTER_ONLY + _SINGLE_HOST_ONLY + _DIFF_ONLY
-             + ("--quick",)}
+             + _POOL_ONLY + ("--quick",)}
     # Pre-seeding a destination stops argparse from filling in its
     # default, so anything not ``unset`` afterwards was on the command
     # line — even when it equals the default.
@@ -286,6 +288,10 @@ def _parse(parser: argparse.ArgumentParser, argv):
             parser.error(f"only used by --metrics-diff: {', '.join(ignored)}")
     if "--quick" in given and not args.figure:
         parser.error("--quick is only used by figure runs")
+    ignored = [f for f in given if f in _POOL_ONLY]
+    if ignored and not (args.figure or args.seeds):
+        parser.error(f"only used by figure and --seeds runs: "
+                     f"{', '.join(ignored)}")
     return args
 
 

@@ -46,18 +46,26 @@ class FlowletTable:
         self.path_changes = 0
 
     def assign(self, flow: Tuple, now_ns: int, n_paths: int) -> int:
-        """The path index for *flow*'s packet departing at *now_ns*."""
+        """The path index for *flow*'s packet departing at *now_ns*.
+
+        *n_paths* must be fixed per flow (the fabric's flow key holds
+        both endpoints, which fix the equal-cost path set).  A packet
+        inside the flow's current flowlet then hashes exactly what the
+        stored index was hashed from, so it reuses the index and skips
+        the sha256.
+        """
         state = self._flows.get(flow)
         if state is None:
             generation = 0
         else:
             last_ns, generation, last_index = state
-            if now_ns - last_ns > self.gap_ns:
-                generation += 1
-                self.rehashes += 1
+            if now_ns - last_ns <= self.gap_ns:
+                self._flows[flow] = (now_ns, generation, last_index)
+                return last_index
+            generation += 1
+            self.rehashes += 1
         index = ecmp_index(self.salt, flow, generation, n_paths)
-        if state is not None and generation != state[1] \
-                and index != state[2]:
+        if state is not None and index != last_index:
             self.path_changes += 1
         self._flows[flow] = (now_ns, generation, index)
         return index

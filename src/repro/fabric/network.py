@@ -9,41 +9,49 @@ timing (per-(link, direction) FIFO serialization + per-hop propagation
 latency, carried across barriers), and returns the batch with its true
 ``arrival_ns`` column rewritten.
 
-The transit loop is the cluster's hottest non-engine path, so all
-routing state is resolved to dense integers at construction or first
-use:
+Transit is the serial section of every barrier, so it runs as a
+**per-link FIFO scan** instead of a discrete-event loop:
 
-- ``_routes`` maps an ``(src_host, dst_host)`` index pair straight to
-  its equal-cost path tuple — resolved once per pair, so the per-packet
-  cost is one small-tuple dict hit instead of re-hashing the whole
-  (deeply nested) :class:`TopologySpec` through ``lru_cache`` on every
-  packet;
-- per-link latency and bandwidth live in flat lists indexed by link,
-  and per-(link, direction) FIFO/counter state is keyed by the dense
-  int ``2*link_index + direction`` (human-readable direction names are
-  precomputed once in ``_dir_names`` for stats/debug, never formatted
-  per packet);
-- heap entries are 4-int tuples referencing batch rows — no live
-  dataclasses on the heap, no ``dataclasses.replace`` per packet — and
-  the initial entry list is already departure-sorted, so one O(n)
-  ``heapify`` replaces n pushes.
+- *Hop plans.*  Each packet resolves once to a cached hop plan keyed
+  by ``(src, dst, path index, wire_len)``: one flat tuple of the first
+  link's queue, then per hop its serialization ns and the next link's
+  queue.  Serialization is ``int(wire_len / bytes_per_ns)``, computed
+  once per plan, never per hop.
+- *The scan.*  Directed links (dense key ``2*link_index + direction``)
+  are visited in :func:`link_rank` order.  Each link sorts its
+  pending entries ``(t, order, plan, hop)``, serves them FIFO from its
+  carried busy-until value, adds its propagation latency, and appends
+  each packet's next-hop entry to the downstream link's queue.  A last
+  hop emits the packet's arrival instead.
 
-Serialization time is ``int(wire_len / bytes_per_ns)``.  Replacing the
-division with a precomputed ``1/bytes_per_ns`` reciprocal multiply was
-measured and rejected: ``x * (1/b)`` rounds twice where ``x / b``
-rounds once, so the two can differ in the last ulp and shift an arrival
-by 1 ns — breaking the pinned digest contract.  A reciprocal is used
-only where it is provably exact (``bytes_per_ns`` a power of two, so
-``1/b`` is representable and the product is a single rounding); every
-other link uses a per-link ``wire_len -> ns`` memo, which amortizes the
-division to one per distinct frame size anyway.
+Why it is exact: only each link's service order matters, and that
+order is the order of its entries.  A discrete-event loop over one
+global heap of ``(t, departed, order)`` entries pops in globally
+non-decreasing order, because every push (``finish + latency``) is
+strictly later than the pop that made it; so each link serves its
+entries in sorted order — precisely what the scan does.  ``departed``
+is non-decreasing in ``order`` (rows are departure-sorted), so ``(t,
+order)`` sorts the same way and ``order`` is unique, so no plan is
+ever compared.  The heap's completion order is the last-hop service
+key ``(t, order)``; the output wire sort breaks its ties on that key,
+so the returned batch is byte-identical to the heap's.
+``tests/test_fabric_transit_oracle.py`` keeps the heap loop as the
+differential reference.
+
+The scan needs every link's entries complete before the link is
+served, i.e. a topological order of directed links under "a shortest
+path crosses link A then link B".  Up/down fat-trees, meshes and the
+two-host pair are acyclic; a spec whose shortest paths form a
+directed-link cycle (a ring of four or more switches) is rejected with a
+``ValueError`` when the :class:`FabricNetwork` is built, before any
+worker starts.
 
 Determinism: the input batch is the *globally sorted union* of all
 shards' outboxes (executor contract), path enumeration orders neighbors
-by name, the event heap breaks ties on (time, departure, input index),
-and the ECMP hash is process-stable — so arrivals, per-link counters,
-and flowlet statistics are identical at any shard count and for
-in-process vs subprocess workers.  The stats feed the cluster digest.
+by name, the link rank is derived from spec order alone, and the ECMP
+hash is process-stable — so arrivals, per-link counters, and flowlet
+statistics are identical at any shard count and for in-process vs
+subprocess workers.  The stats feed the cluster digest.
 
 Lookahead safety: every path traverses links whose summed latency is at
 least :func:`min_path_latency_ns`, so ``arrival >= departure +
@@ -55,15 +63,14 @@ packet is ever in a cell's past.
 from __future__ import annotations
 
 import functools
-import heapq
-import math
 from typing import Dict, List, Tuple
 
 from repro.fabric.ecmp import FlowletTable
 from repro.fabric.spec import TopologySpec
 from repro.overlay.wirefmt import CLS_NAMES, KIND_NAMES, WireBatch
 
-__all__ = ["FabricNetwork", "equal_cost_paths", "min_path_latency_ns"]
+__all__ = ["FabricNetwork", "equal_cost_paths", "link_rank",
+           "min_path_latency_ns"]
 
 #: A path as hop directives: (link index into spec.links, direction)
 #: with direction 0 = a->b, 1 = b->a.
@@ -185,6 +192,113 @@ def min_path_latency_ns(spec: TopologySpec) -> int:
     return best
 
 
+@functools.lru_cache(maxsize=None)
+def link_rank(spec: TopologySpec) -> Tuple[int, ...]:
+    """Directed-link keys (``2*link_index + direction``) of every link a
+    host-to-host shortest path crosses, in a topological order of the
+    relation "some shortest path crosses link A, then link B".
+
+    This is the order :meth:`FabricNetwork.transit_batch` serves links
+    in: every entry of a link comes from links ranked before it.  Built
+    like :func:`min_path_latency_ns`, one BFS per source host —
+    O(hosts x (V + E)): in the BFS DAG of source *s*, a link ``u->v``
+    is followed by ``v->w`` exactly when ``v->w`` is a DAG edge and
+    some destination host is DAG-reachable from ``w``.  Rather than
+    listing the in x out pairs at each node, each (source, node) gets a
+    junction vertex that its in-links feed and its out-links leave, so
+    the graph stays linear in the DAG's size.  Kahn's algorithm over
+    int vertices numbered in spec order makes the rank independent of
+    string hashing.
+
+    Raises ``ValueError`` naming the links of a cycle when the relation
+    has one (e.g. a ring of four or more switches): the scan cannot
+    serve such a fabric exactly.
+    """
+    adj = _adjacency(spec)
+    host_names = {h.name for h in spec.hosts}
+    n_keys = 2 * len(spec.links)
+    succ: List[List[int]] = [[] for _ in range(n_keys)]
+    crossed = [False] * n_keys
+    for host in spec.hosts:
+        src = host.name
+        if src not in adj:
+            continue
+        dist = {src: 0}
+        bfs = [src]
+        for node in bfs:
+            for neighbor, _index, _direction in adj[node]:
+                if neighbor not in dist:
+                    dist[neighbor] = dist[node] + 1
+                    bfs.append(neighbor)
+        # Nodes some other host is DAG-reachable from, deepest first.
+        leads_to_host = set()
+        for node in reversed(bfs):
+            below = dist[node] + 1
+            if (node != src and node in host_names) or any(
+                    dist[neighbor] == below and neighbor in leads_to_host
+                    for neighbor, _index, _direction in adj[node]):
+                leads_to_host.add(node)
+        junction: Dict[str, int] = {}
+        for node in bfs:
+            below = dist[node] + 1
+            for neighbor, index, direction in adj[node]:
+                if dist[neighbor] != below or neighbor not in leads_to_host:
+                    continue
+                key = 2 * index + direction
+                crossed[key] = True
+                if node in junction:
+                    succ[junction[node]].append(key)
+                vertex = junction.get(neighbor)
+                if vertex is None:
+                    vertex = junction[neighbor] = len(succ)
+                    succ.append([])
+                succ[key].append(vertex)
+    indegree = [0] * len(succ)
+    for targets in succ:
+        for target in targets:
+            indegree[target] += 1
+    ready = [v for v in range(len(succ)) if not indegree[v]]
+    for vertex in ready:
+        for target in succ[vertex]:
+            indegree[target] -= 1
+            if not indegree[target]:
+                ready.append(target)
+    if len(ready) < len(succ):
+        raise ValueError(
+            f"topology {spec.kind!r}: shortest paths cross the directed "
+            f"links {', '.join(_cycle_names(spec, succ, indegree))} in a "
+            f"cycle, so fabric transit has no link order to serve them in")
+    return tuple(v for v in ready if v < n_keys and crossed[v])
+
+
+def _cycle_names(spec: TopologySpec, succ: List[List[int]],
+                 indegree: List[int]) -> List[str]:
+    """Names of the links on one cycle left over by Kahn's algorithm.
+
+    Every vertex Kahn could not release still has an unreleased
+    predecessor, so walking predecessors from one must revisit a vertex.
+    """
+    pred: Dict[int, int] = {}
+    for vertex, targets in enumerate(succ):
+        if indegree[vertex]:
+            for target in targets:
+                if indegree[target]:
+                    pred.setdefault(target, vertex)
+    walk = [min(pred)]
+    while walk[-1] not in walk[:-1]:
+        walk.append(pred[walk[-1]])
+    cycle = walk[walk.index(walk[-1]):-1][::-1]
+    links = spec.links
+    n_keys = 2 * len(links)
+    names = []
+    for key in cycle:
+        if key < n_keys:
+            link = links[key // 2]
+            a, b = (link.a, link.b) if key % 2 == 0 else (link.b, link.a)
+            names.append(f"{a}->{b}")
+    return names
+
+
 class FabricNetwork:
     """Executable fabric state for one cluster run (one per executor)."""
 
@@ -194,31 +308,29 @@ class FabricNetwork:
         self.header_bytes = header_bytes
         salt = (spec.ecmp.hash_salt << 32) ^ (seed & 0xFFFF_FFFF)
         self.flowlets = FlowletTable(spec.ecmp.flowlet_gap_ns, salt)
+        links = spec.links
+        #: Directed-link keys in scan order; raises here, before any
+        #: worker starts, when the spec has no such order.
+        self._rank = link_rank(spec)
         #: dense (link, direction) key = 2*link_index + direction ->
         #: busy-until ns, carried across barriers so FIFO serialization
         #: spans window boundaries.
-        self._busy: Dict[int, int] = {}
-        #: packets forwarded per (link, direction), same dense key.
-        self._link_packets: Dict[int, int] = {}
-        #: (src, dst, cls_code, kind_code) -> {path index -> packets};
+        self._busy = [0] * (2 * len(links))
+        #: Same key -> this window's pending ``(t, order, plan, hop)``
+        #: entries; emptied as each link is served.
+        self._queues: List[list] = [[] for _ in range(2 * len(links))]
+        #: Same key -> propagation latency ns.
+        self._latency = [link.latency_ns for link in links
+                         for _direction in (0, 1)]
+        #: (src, dst, path index, wire_len) -> hop plan (see _plan).
+        self._plans: Dict[Tuple[int, int, int, int], tuple] = {}
+        #: (src, dst, cls_code, kind_code) -> (string flow key, its
+        #: equal-cost paths, {path index -> packets}); the counts are
         #: stringified only in :meth:`stats`, never per packet.
         self._flow_paths: Dict[Tuple[int, int, int, int],
-                               Dict[int, int]] = {}
+                               Tuple[tuple, Tuple[Path, ...],
+                                     Dict[int, int]]] = {}
         self.transited = 0
-        # --- per-link constants, resolved once -------------------------
-        links = spec.links
-        self._latency = [link.latency_ns for link in links]
-        self._bytes_per_ns = [link.bytes_per_ns for link in links]
-        #: Per-link 1/bytes_per_ns, or None when the reciprocal multiply
-        #: is not provably exact (rate not a power of two) — those links
-        #: fall back to the memoized division (see module docs).
-        self._inv_bytes_per_ns = [
-            1.0 / link.bytes_per_ns
-            if math.frexp(link.bytes_per_ns)[0] == 0.5 else None
-            for link in links]
-        #: Per-link wire_len -> serialization-ns memo (exact: computed
-        #: with the original division on first sight of each size).
-        self._ser_memo: List[Dict[int, int]] = [{} for _ in links]
         #: "a->b" / "b->a" per dense direction key (stats/debug only).
         self._dir_names = [name for link in links
                            for name in (f"{link.a}->{link.b}",
@@ -246,6 +358,29 @@ class FabricNetwork:
             self._routes[pair] = paths
         return paths
 
+    def _new_flow(self, src: int, dst: int, cls_code: int,
+                  kind_code: int) -> tuple:
+        # The flowlet/ECMP hash must see the v1 string flow key — codes
+        # would change the sha256 input and re-route flows.
+        state = self._flow_paths[(src, dst, cls_code, kind_code)] = (
+            (src, dst, CLS_NAMES[cls_code], KIND_NAMES[kind_code]),
+            self._paths_for(src, dst), {})
+        return state
+
+    def _plan(self, src: int, dst: int, index: int, wire_len: int) -> tuple:
+        """The hop plan of one (path, frame size): the first link's
+        queue, then per hop its serialization ns and the next link's
+        queue (None after the last hop)."""
+        links = self.spec.links
+        queues = self._queues
+        plan: list = []
+        for link_index, direction in self._paths_for(src, dst)[index]:
+            queue = queues[2 * link_index + direction]
+            plan += (queue, int(wire_len / links[link_index].bytes_per_ns))
+        plan.append(None)
+        plan = self._plans[(src, dst, index, wire_len)] = tuple(plan)
+        return plan
+
     def transit_batch(self, batch: WireBatch) -> WireBatch:
         """Route one barrier's departures, columnar end to end.
 
@@ -267,88 +402,62 @@ class FabricNetwork:
         assign = self.flowlets.assign
         header_bytes = self.header_bytes
         flows = self.flows
-        path_by_order: List[Path] = []
-        wire_len_by_order: List[int] = []
-        heap: List[Tuple[int, int, int, int]] = []
+        plans = self._plans
         for order, row in enumerate(rows):
-            departure, _arr, src, dst, cls_code, kind_code = row[:6]
-            paths = self._paths_for(src, dst)
-            # The flowlet/ECMP hash must see the v1 string flow key —
-            # codes would change the sha256 input and re-route flows.
-            flow = (src, dst, CLS_NAMES[cls_code], KIND_NAMES[kind_code])
+            departure = row[0]
+            state = flow_paths.get(row[2:6])
+            if state is None:
+                state = self._new_flow(*row[2:6])
+            flow, paths, uses = state
             index = assign(flow, departure, len(paths))
-            uses = flow_paths.get((src, dst, cls_code, kind_code))
-            if uses is None:
-                uses = flow_paths[(src, dst, cls_code, kind_code)] = {}
             uses[index] = uses.get(index, 0) + 1
-            path_by_order.append(paths[index])
-            wire_len_by_order.append(row[8] + header_bytes)
+            src, dst = flow[0], flow[1]
+            wire_len = row[8] + header_bytes
             if flows is not None:
-                flows.on_transit(src, dst, cls_code, departure,
-                                 wire_len_by_order[-1], paths[index])
-            # (time, departed, input order, hop): ties never reach past
-            # the unique order, so no packet fields are ever compared.
-            heap.append((departure, departure, order, 0))
-        # The entries are already (departure, departure, order)-sorted,
-        # so this heapify is a single O(n) pass instead of n pushes.
-        heapq.heapify(heap)
+                flows.on_transit(src, dst, row[4], departure, wire_len,
+                                 paths[index])
+            plan = plans.get((src, dst, index, wire_len))
+            if plan is None:
+                plan = self._plan(src, dst, index, wire_len)
+            plan[0].append((departure, order, plan, 1))
 
+        # Serve every link FIFO in rank order; (t, order) is unique, so
+        # sorting never compares plans.  A last hop emits the output
+        # row, keyed for the wire sort with the heap's completion order
+        # (t, order) as the tie-break — see the module docs.
         busy = self._busy
-        busy_get = busy.get
-        link_packets = self._link_packets
-        lp_get = link_packets.get
-        latency = self._latency
-        bytes_per_ns = self._bytes_per_ns
-        inv_bytes_per_ns = self._inv_bytes_per_ns
-        ser_memo = self._ser_memo
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        completed: List[int] = []
-        arrival_by_order: List[int] = [0] * n
-        while heap:
-            t, departed, order, hop = heappop(heap)
-            path = path_by_order[order]
-            link_index, direction = path[hop]
-            key = 2 * link_index + direction
-            start = busy_get(key, 0)
-            if t > start:
-                start = t
-            wire_len = wire_len_by_order[order]
-            inv = inv_bytes_per_ns[link_index]
-            if inv is not None:
-                ser = int(wire_len * inv)
-            else:
-                memo = ser_memo[link_index]
-                ser = memo.get(wire_len)
-                if ser is None:
-                    ser = memo[wire_len] = int(wire_len
-                                               / bytes_per_ns[link_index])
-            finish = start + ser
+        queues = self._queues
+        latency_by_key = self._latency
+        done = []
+        for key in self._rank:
+            queue = queues[key]
+            if not queue:
+                continue
+            queue.sort()
+            finish = busy[key]
+            latency = latency_by_key[key]
+            for t, order, plan, hop in queue:
+                if t > finish:
+                    finish = t
+                finish += plan[hop]
+                next_queue = plan[hop + 1]
+                if next_queue is None:
+                    row = rows[order]
+                    done.append((finish + latency, row[2], row[3], row[4],
+                                 row[5], row[6], t, order, row[0], row[8],
+                                 row[9]))
+                else:
+                    next_queue.append((finish + latency, order, plan,
+                                       hop + 2))
             busy[key] = finish
-            link_packets[key] = lp_get(key, 0) + 1
-            t_next = finish + latency[link_index]
-            hop += 1
-            if hop == len(path):
-                arrival_by_order[order] = t_next
-                completed.append(order)
-            else:
-                heappush(heap, (t_next, departed, order, hop))
+            queue.clear()
         self.transited += n
 
-        # Rebuild the batch in completion order (matching the v1 path's
-        # append order), then wire-sort — the stable tie-break is then
-        # byte-identical to v1's out.sort(key=wire_sort_key).
+        done.sort()
         out = WireBatch()
-        out.src = [rows[o][2] for o in completed]
-        out.dst = [rows[o][3] for o in completed]
-        out.cls = [rows[o][4] for o in completed]
-        out.kind = [rows[o][5] for o in completed]
-        out.seq = [rows[o][6] for o in completed]
-        out.departure = [rows[o][0] for o in completed]
-        out.arrival = [arrival_by_order[o] for o in completed]
-        out.payload_len = [rows[o][8] for o in completed]
-        out.sent_at = [rows[o][9] for o in completed]
-        out.sort_wire()
+        (out.arrival, out.src, out.dst, out.cls, out.kind, out.seq, _t,
+         _order, out.departure, out.payload_len, out.sent_at) = (
+            [list(col) for col in zip(*done)])
         return out
 
     # ------------------------------------------------------------------
@@ -359,21 +468,23 @@ class FabricNetwork:
         and sorted as strings, so the output is byte-identical to the
         v1 per-packet f-string bookkeeping.
         """
-        named = {f"{src}->{dst}:{CLS_NAMES[cls_code]}:{KIND_NAMES[kind_code]}":
-                 uses
-                 for (src, dst, cls_code, kind_code), uses
-                 in self._flow_paths.items()}
+        named = {f"{src}->{dst}:{cls}:{kind}": uses
+                 for (src, dst, cls, kind), _paths, uses
+                 in self._flow_paths.values()}
         multipath = {flow: uses for flow, uses in named.items()
                      if len(uses) > 1}
-        # Per-(link, direction) counters are dense-int keyed in the hot
-        # loop; fold them onto direction *names* here, because v1
-        # counted by name and parallel links sharing endpoints must keep
-        # merging for the digest to stay byte-identical.
+        # Every packet of a flow crossed each hop of its path once, so
+        # per-path counts give per-link counts.  They fold onto
+        # direction *names*, because v1 counted by name and parallel
+        # links sharing endpoints must keep merging for the digest to
+        # stay byte-identical.
         dir_names = self._dir_names
         link_by_name: Dict[str, int] = {}
-        for key, count in self._link_packets.items():
-            name = dir_names[key]
-            link_by_name[name] = link_by_name.get(name, 0) + count
+        for _flow, paths, uses in self._flow_paths.values():
+            for index, count in uses.items():
+                for link_index, direction in paths[index]:
+                    name = dir_names[2 * link_index + direction]
+                    link_by_name[name] = link_by_name.get(name, 0) + count
         return {
             "packets": self.transited,
             "flows": len(named),

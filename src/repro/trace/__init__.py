@@ -14,12 +14,11 @@ the simulated kernel:
 
 from repro.trace.latency import KernelLatencyProbe
 from repro.trace.pollorder import PollOrderTracer, PollRecord
-from repro.trace.timeline import PacketTimeline, StageTimeline
+from repro.trace.timeline import StageTimeline
 from repro.trace.tracer import TracePoint, Tracer
 
 __all__ = [
     "KernelLatencyProbe",
-    "PacketTimeline",
     "PollOrderTracer",
     "PollRecord",
     "StageTimeline",

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional
 from repro.packet.skb import SKBuff
 from repro.trace.tracer import TracePoint, Tracer
 
-__all__ = ["PacketTimeline", "StageTimeline"]
+__all__ = ["StageTimeline"]
 
 
 @dataclass

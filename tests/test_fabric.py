@@ -1,6 +1,8 @@
 """Fabric behavior: ECMP determinism, flowlets, cluster integration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fabric import FabricNetwork, Topology, ecmp_index
 from repro.fabric.ecmp import FlowletTable
@@ -9,6 +11,7 @@ from repro.shard.cluster import ClusterConfig, cluster_digest
 from repro.shard.executor import run_cluster
 from repro.shard.worker import partition_hosts
 from repro.sim.units import MS
+from tests.fabric_oracle import AlwaysHashFlowlets
 
 FAT8 = Topology.fat_tree(4, hosts=8)
 
@@ -71,6 +74,29 @@ class TestFlowletTable:
         assert table.rehashes == 40
         assert table.path_changes > 0
         assert len(seen) > 1
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(salt=st.integers(0, 2**40),
+           sends=st.lists(st.tuples(
+               st.integers(0, 5),
+               # Gaps straddle gap_ns = 1000: inside, at, and past it.
+               st.sampled_from((0, 1, 500, 999, 1_000, 1_001, 5_000))
+               | st.integers(0, 3_000)), max_size=120))
+    def test_matches_always_hash_reference(self, salt, sends):
+        table = FlowletTable(gap_ns=1_000, salt=salt)
+        reference = AlwaysHashFlowlets(gap_ns=1_000, salt=salt)
+        now = 0
+        for flow_id, gap in sends:
+            now += gap
+            # n_paths is fixed per flow (1 path included), as in the
+            # fabric, where both endpoints are part of the flow key.
+            flow = (flow_id, 7, "hi", "req")
+            n_paths = 1 + flow_id % 4
+            assert table.assign(flow, now, n_paths) \
+                == reference.assign(flow, now, n_paths)
+        assert table.rehashes == reference.rehashes
+        assert table.path_changes == reference.path_changes
 
 
 class TestFabricNetwork:

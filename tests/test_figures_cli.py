@@ -112,3 +112,21 @@ class TestFlagScope:
             main(["--quick"] + argv)
         assert exc.value.code == 2
         assert "--quick" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--jobs", "1"],
+                                      ["--cache"]],
+                             ids=lambda flag: "-".join(flag))
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--cluster", "2"],
+        ["--trace", "out.json"],
+        ["--metrics", "out.prom"],
+        ["--faults", "loss:eth:0.01"],
+        ["--flows", "mem"],
+    ], ids=lambda argv: argv[0] if argv else "alone")
+    def test_pool_flag_rejected_without_figure_or_seeds(self, capsys, flag,
+                                                         argv):
+        with pytest.raises(SystemExit) as exc:
+            main(flag + argv)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
